@@ -36,12 +36,6 @@ single-shot round trips) must stay >= ``--codec-batch-min`` (default
 2x).  Per-direction speedups are recorded and reported but not gated —
 they differ in how much per-item work the batch path can amortize.
 
-``--tune-fresh`` gates an auto-tuner record (produced by
-``benchmarks/bench_tune.py``) against ``BENCH_tune.json``: every cell's
-tuned-over-default speedup must stay >= ``--tune-min-speedup`` (default
-1.0 — learned configs must never lose to the defaults) and at least
-``--tune-min-winning`` cells (default 2) must be strictly faster.
-
 Sanitized runs are exempt: ``HPDR_SAN`` deliberately re-executes every
 GEM batch in shadow, so throughput under it measures the sanitizer, not
 the codecs — the gate refuses to produce (or judge) such numbers and
@@ -62,7 +56,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 COMMITTED = REPO_ROOT / "BENCH_wallclock.json"
 SERVE_COMMITTED = REPO_ROOT / "BENCH_serve.json"
 CLUSTER_COMMITTED = REPO_ROOT / "BENCH_cluster.json"
-TUNE_COMMITTED = REPO_ROOT / "BENCH_tune.json"
 
 _CODECS = ("huffman", "huffman_openmp", "mgard", "zfp")
 _METRICS = ("compress_MBps", "decompress_MBps")
@@ -258,85 +251,6 @@ def compare_cluster(
     return failures
 
 
-def compare_tune(
-    committed: dict, fresh: dict, min_speedup: float = 1.0,
-    min_winning_cells: int = 2,
-) -> list[str]:
-    """Gate the auto-tuner record: tuned must never lose, and must win.
-
-    Two checks on the *fresh* record (produced by
-    ``benchmarks/bench_tune.py``): (a) every cell's tuned-over-default
-    speedup must be >= ``min_speedup`` (default 1.0 — the tuner's
-    fail-open contract: a learned config that cannot beat the defaults
-    is discarded at bench time and recorded as exactly 1.0, so anything
-    below the floor means the fallback itself broke); (b) at least
-    ``min_winning_cells`` cells must be strictly faster than the
-    defaults, or the tuner has stopped finding anything at all.  The
-    committed record only anchors the cell roster: every committed cell
-    must still be measured fresh.
-    """
-    failures = []
-    committed_cur = _section(committed, "current", "committed tune record")
-    fresh_cur = _section(fresh, "current", "fresh tune record")
-    for cell in sorted(committed_cur):
-        _cell(fresh_cur, cell, "fresh tune record")
-    winning = 0
-    for cell in sorted(fresh_cur):
-        speedup = _metric(_cell(fresh_cur, cell, "fresh tune record"),
-                          "speedup", f"fresh tune record [{cell}]")
-        if speedup >= min_speedup:
-            if speedup > 1.0:
-                winning += 1
-        else:
-            failures.append(
-                f"tune.{cell}.speedup: tuned config is {speedup:.3f}x the "
-                f"defaults (required >= {min_speedup:.2f}x — the tuner must "
-                f"fall back to defaults rather than regress)"
-            )
-    if winning < min_winning_cells:
-        failures.append(
-            f"tune: only {winning} cell(s) beat the defaults "
-            f"(required >= {min_winning_cells} strictly-winning cells)"
-        )
-    return failures
-
-
-def write_tune_step_summary(
-    fresh: dict, failures: list[str], min_speedup: float
-) -> None:
-    """Append the tune-gate verdict and per-cell table to the summary."""
-    path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if not path:
-        return
-    lines = ["## Tune gate", ""]
-    if failures:
-        lines.append(f"**REGRESSION** — {len(failures)} tuning cell(s) "
-                     f"out of bounds:")
-        lines.append("")
-        lines.extend(f"- {f}" for f in failures)
-    else:
-        winning = sum(
-            1 for cell in fresh.get("current", {}).values()
-            if isinstance(cell, dict)
-            and isinstance(cell.get("speedup"), (int, float))
-            and cell["speedup"] > 1.0
-        )
-        lines.append(f"**OK** — tuned >= {min_speedup:.2f}x defaults on "
-                     f"every cell, {winning} cell(s) strictly faster.")
-    lines += ["", "| cell | default s | tuned s | speedup | tuned config |",
-              "|---|---:|---:|---:|---|"]
-    for cell, row in sorted(fresh.get("current", {}).items()):
-        if not isinstance(row, dict):
-            continue
-        knobs = " ".join(f"{k}={v}"
-                         for k, v in sorted(row.get("config", {}).items()))
-        lines.append(f"| {cell} | {_fmt(row, 'default_s', 4)} "
-                     f"| {_fmt(row, 'tuned_s', 4)} "
-                     f"| {_fmt(row, 'speedup', 3)}x | {knobs or '-'} |")
-    with open(path, "a") as f:
-        f.write("\n".join(lines) + "\n")
-
-
 def write_cluster_step_summary(
     committed: dict, fresh: dict, failures: list[str], scaling_min: float,
 ) -> None:
@@ -483,18 +397,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--cluster-scaling-min", type=float, default=1.6,
                     help="required fresh 4-shard-over-1-shard goodput "
                          "scaling (default 1.6)")
-    ap.add_argument("--tune-fresh", type=pathlib.Path, default=None,
-                    help="fresh BENCH_tune record to gate (from "
-                         "benchmarks/bench_tune.py)")
-    ap.add_argument("--tune-committed", type=pathlib.Path,
-                    default=TUNE_COMMITTED,
-                    help="committed tune reference record")
-    ap.add_argument("--tune-min-speedup", type=float, default=1.0,
-                    help="required tuned-over-default speedup on every "
-                         "tuning cell (default 1.0: never lose)")
-    ap.add_argument("--tune-min-winning", type=int, default=2,
-                    help="required count of cells strictly faster than "
-                         "the defaults (default 2)")
     args = ap.parse_args(argv)
 
     if os.environ.get("HPDR_SAN", "") not in ("", "0"):
@@ -601,30 +503,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             failures += cluster_failures
 
-        if args.tune_fresh is not None:
-            if not args.tune_committed.exists():
-                print(f"perf_gate: no committed tune record at "
-                      f"{args.tune_committed}; run benchmarks/bench_tune.py "
-                      f"first", file=sys.stderr)
-                return 0 if args.report_only else 2
-            tune_committed = json.loads(args.tune_committed.read_text())
-            tune_fresh = json.loads(args.tune_fresh.read_text())
-            tune_failures = compare_tune(
-                tune_committed, tune_fresh, args.tune_min_speedup,
-                args.tune_min_winning,
-            )
-            print(f"\n{'tune cell':<20} {'default s':>10} {'tuned s':>10} "
-                  f"{'speedup':>8}")
-            for cell, row in sorted(tune_fresh.get("current", {}).items()):
-                if not isinstance(row, dict):
-                    continue
-                print(f"{cell:<20} {_fmt(row, 'default_s', 4):>10} "
-                      f"{_fmt(row, 'tuned_s', 4):>10} "
-                      f"{_fmt(row, 'speedup', 3):>7}x")
-            write_tune_step_summary(
-                tune_fresh, tune_failures, args.tune_min_speedup,
-            )
-            failures += tune_failures
     except MissingBenchCell as exc:
         print(f"perf_gate: MALFORMED RECORD — {exc}", file=sys.stderr)
         return 0 if args.report_only else 2

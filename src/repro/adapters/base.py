@@ -66,9 +66,8 @@ class DeviceAdapter(abc.ABC):
     def parallel_width(self) -> int:
         """Concurrent independent tasks this backend can run (1 = serial).
 
-        Compressors use this to decide whether splitting work into
-        independent segments (e.g. the Huffman ``HUFP`` container) can
-        pay off.
+        It bounds how much work runs at once and must never shape a
+        codec's output: streams are byte-identical at every width.
         """
         return 1
 

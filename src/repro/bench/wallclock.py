@@ -139,8 +139,8 @@ def measure_all(reps: int = 3, threads: int | None = None) -> dict:
     current: dict = {}
     for name in ("huffman", "mgard", "zfp"):
         current[name] = measure_codec(name, data, reps=reps)
-    # Threads pinned (default 4) so the HUFP chunk-parallel container is
-    # what gets measured even on hosts reporting a single core.
+    # Threads pinned (default 4) so the thread-parallel stages are what
+    # gets measured even on hosts reporting a single core.
     omp = get_adapter("openmp", num_threads=threads or 4)
     current["huffman_openmp"] = measure_codec("huffman", data, reps=reps, adapter=omp)
     current["mgard_stages"] = measure_mgard_stages(data, reps=reps)

@@ -42,39 +42,12 @@ def _open_envelope(blob: bytes) -> tuple[str, bytes]:
     return method, blob[5 + mlen :]
 
 
-def _tuned_config(args, method: str, data):
-    """Resolve ``--tune`` into a knob configuration (None when off).
-
-    An explicit ``--adapter`` beats the tuner — the operator asked for
-    that device, and the tuned entry may have been learned on another.
-    """
-    mode = getattr(args, "tune", "off") or "off"
-    if mode == "off" or getattr(args, "adapter", None):
-        return None
-    from repro.tune import TuningCache, resolve_codec_config
-
-    cache = TuningCache(getattr(args, "tuning_cache", None))
-    return resolve_codec_config(mode, method, data, cache=cache)
-
-
-def _tuned_adapter(config):
-    """Device adapter a resolved tuning configuration names."""
-    from repro import get_adapter
-
-    kwargs = {}
-    if config.get("adapter") == "openmp" and config.get("threads"):
-        kwargs["num_threads"] = int(config["threads"])
-    return get_adapter(config.get("adapter", "serial"), **kwargs)
-
-
-def _build_compressor(method: str, args, adapter=None, tuned=None):
+def _build_compressor(method: str, args, adapter=None):
     """Build the compressor ``args`` describe.
 
     ``adapter`` overrides the CLI-selected device adapter — the campaign
     runner uses this to hand each rank its own resilient adapter chain
-    while reusing all method/bound plumbing.  ``tuned`` (a resolved
-    tuning configuration) picks the device when neither ``adapter`` nor
-    ``--adapter`` did.
+    while reusing all method/bound plumbing.
     """
     from repro import Config, ErrorMode, LZ4, MGARDX, SZ, ZFPX, get_adapter
     from repro import rate_for_error_bound
@@ -82,8 +55,6 @@ def _build_compressor(method: str, args, adapter=None, tuned=None):
     sanitize = bool(getattr(args, "sanitize", False))
     if adapter is not None:
         sanitize = False  # explicit override wins; no sanitizer re-wrap
-    elif tuned is not None and not sanitize:
-        adapter = _tuned_adapter(tuned)
     elif getattr(args, "adapter", None):
         kwargs = {}
         threads = getattr(args, "threads", None)
@@ -156,8 +127,7 @@ def _trace_end(args, tracing: bool) -> None:
 
 def cmd_compress(args) -> int:
     data = np.load(args.input)
-    tuned = _tuned_config(args, args.method, data)
-    comp = _build_compressor(args.method, args, tuned=tuned)
+    comp = _build_compressor(args.method, args)
     tracing = _trace_begin(args)
     payload = comp.compress(data)
     blob = _envelope(args.method, payload)
@@ -168,9 +138,6 @@ def cmd_compress(args) -> int:
         f"{args.input}: {data.nbytes/1e6:.2f} MB -> {len(blob)/1e6:.2f} MB "
         f"({data.nbytes/len(blob):.2f}x) via {args.method}"
     )
-    if tuned is not None:
-        knobs = " ".join(f"{k}={v}" for k, v in sorted(tuned.items()))
-        print(f"tuned ({args.tune}): {knobs}")
     _trace_end(args, tracing)
     return 0
 
@@ -224,17 +191,12 @@ def _refactor_progressive(args) -> int:
     from repro.progressive import ProgressiveMGARD, archive_bytes, write_store
 
     data = np.load(args.input)
-    tuned = _tuned_config(args, "mgard-x", data)
     mode = ErrorMode.ABS if args.mode == "abs" else ErrorMode.REL
     codec = ProgressiveMGARD(
         Config(error_bound=args.eb, error_mode=mode),
-        adapter=_tuned_adapter(tuned) if tuned is not None else None,
         bits_per_plane=args.bits_per_plane,
         max_planes=args.max_planes,
     )
-    if tuned is not None:
-        knobs = " ".join(f"{k}={v}" for k, v in sorted(tuned.items()))
-        print(f"tuned ({args.tune}): {knobs}")
     tracing = _trace_begin(args)
     index, segments = codec.refactor(data)
     if args.store == "bp":
@@ -405,8 +367,6 @@ def cmd_serve(args) -> int:
         adapter=args.adapter or "serial",
         threads=args.threads,
         process=bool(args.processes),
-        tune=args.tune,
-        tuning_cache=args.tuning_cache,
     )
 
     async def run() -> dict:
@@ -418,12 +378,6 @@ def cmd_serve(args) -> int:
         except NotImplementedError:  # pragma: no cover - non-Unix loops
             pass
         async with ReductionService(cfg) as svc:
-            tuned_cfg = svc.config
-            if tuned_cfg is not cfg:
-                print(f"tuned ({cfg.tune}): adapter={tuned_cfg.adapter} "
-                      f"max_batch={tuned_cfg.limits.max_batch} "
-                      f"deadline={tuned_cfg.limits.max_latency_s * 1e3:g}ms",
-                      flush=True)
             server = await serve_tcp(svc, args.host, args.port)
             host, port = server.sockets[0].getsockname()[:2]
             print(
@@ -469,8 +423,6 @@ def cmd_cluster(args) -> int:
             workers=args.workers,
             adapter=args.adapter or "serial",
             threads=args.threads,
-            tune=args.tune,
-            tuning_cache=args.tuning_cache,
         ),
         shard_max_pending=args.shard_max_pending,
         vnodes=args.vnodes,
@@ -563,8 +515,6 @@ def cmd_blast(args) -> int:
                     workers=args.workers,
                     adapter=args.adapter or "serial",
                     threads=args.threads,
-                    tune=args.tune,
-                    tuning_cache=args.tuning_cache,
                 ),
                 shard_max_pending=args.shard_max_pending,
             )
@@ -581,8 +531,6 @@ def cmd_blast(args) -> int:
                 adapter=args.adapter or "serial",
                 threads=args.threads,
                 process=bool(args.processes),
-                tune=args.tune,
-                tuning_cache=args.tuning_cache,
             )
             svc = await ReductionService(cfg).start()
             server = await serve_tcp(svc, "127.0.0.1", 0)
@@ -642,40 +590,6 @@ def cmd_blast(args) -> int:
     return 1 if (report["errors"] or report["mismatches"]) else 0
 
 
-def cmd_tune(args) -> int:
-    """Run the tuning campaign over the synthetic-dataset matrix."""
-    from repro.tune import TuningCache, tune_matrix, tune_service
-
-    cache = TuningCache(args.tuning_cache)
-    print(f"tuning cache: {cache.path}")
-    tracing = _trace_begin(args)
-    reports = tune_matrix(
-        cache,
-        quick=args.quick,
-        seed=args.seed,
-        budget=args.budget,
-        progress=lambda line: print(f"  {line}", flush=True),
-    )
-    if args.serve:
-        report = tune_service(
-            cache,
-            seed=args.seed,
-            budget=args.budget,
-            clients=args.clients,
-        )
-        print(f"  service: {report.speedup:.2f}x "
-              f"({report.evaluations} evals, "
-              f"{report.rejected} rejected by the byte guard)")
-        reports[str(report.key)] = report
-    print(f"\nlearned table ({len(reports)} keys tuned this run):")
-    print(cache.table())
-    improved = sum(1 for r in reports.values() if r.improved)
-    print(f"\n{improved}/{len(reports)} keys beat the hand-tuned defaults; "
-          f"every persisted config is byte-identical to them")
-    _trace_end(args, tracing)
-    return 0
-
-
 def cmd_datasets(_args) -> int:
     from repro.data.registry import DATASETS
 
@@ -685,18 +599,6 @@ def cmd_datasets(_args) -> int:
         print(f"{spec.name:<6} {spec.field:<8} {dims:<24} "
               f"{spec.dtype:<8} {spec.full_size_label}")
     return 0
-
-
-def _add_tune_flags(sp, what: str) -> None:
-    """``--tune``/``--tuning-cache`` on every tuning-aware command."""
-    sp.add_argument("--tune", default="off", choices=["auto", "off", "force"],
-                    help=f"consult the tuning cache for {what}: auto uses a "
-                         f"cached entry, force re-tunes first, off (default) "
-                         f"uses hand-tuned defaults; tuned runs are "
-                         f"byte-identical to defaults")
-    sp.add_argument("--tuning-cache", default=None, metavar="PATH",
-                    help="tuning-cache file (default: $HPDR_TUNE_CACHE or "
-                         "~/.cache/hpdr/tuning.json)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -732,7 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(chrome://tracing / Perfetto)")
     c.add_argument("--metrics", action="store_true",
                    help="print the stage/metrics summary after the run")
-    _add_tune_flags(c, "this codec/dtype/shape")
     c.set_defaults(func=cmd_compress)
 
     d = sub.add_parser("decompress", help="decompress an .hpdr container")
@@ -779,7 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record spans and write Chrome trace-event JSON")
     r.add_argument("--metrics", action="store_true",
                    help="print the stage/metrics summary after the run")
-    _add_tune_flags(r, "the progressive refactor codec")
     r.set_defaults(func=cmd_refactor)
 
     g = sub.add_parser("retrieve", help="retrieve a refactored prefix")
@@ -877,7 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="record spans and write Chrome trace-event JSON")
     sv.add_argument("--metrics", action="store_true",
                     help="print the stage/metrics summary after draining")
-    _add_tune_flags(sv, "service batch limits and adapter")
     sv.set_defaults(func=cmd_serve)
 
     cl = sub.add_parser(
@@ -915,7 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="record spans and write Chrome trace-event JSON")
     cl.add_argument("--metrics", action="store_true",
                     help="print the stage/metrics summary after draining")
-    _add_tune_flags(cl, "per-shard batch limits and adapter")
     cl.set_defaults(func=cmd_cluster)
 
     bl = sub.add_parser(
@@ -980,31 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "drill; the blast must still finish error-free")
     bl.add_argument("--kill-after-ms", type=float, default=150.0,
                     help="(cluster) delay before the --kill-one kill")
-    _add_tune_flags(bl, "(selfhost) service batch limits and adapter")
     bl.set_defaults(func=cmd_blast)
-
-    tn = sub.add_parser(
-        "tune",
-        help="run an auto-tuning campaign and persist the learned table",
-    )
-    tn.add_argument("--tuning-cache", default=None, metavar="PATH",
-                    help="tuning-cache file (default: $HPDR_TUNE_CACHE or "
-                         "~/.cache/hpdr/tuning.json)")
-    tn.add_argument("--quick", action="store_true",
-                    help="small matrix datasets and budgets (CI smoke)")
-    tn.add_argument("--seed", type=int, default=0,
-                    help="search seed (same seed => same proposal sequence)")
-    tn.add_argument("--budget", type=int, default=None,
-                    help="max configurations evaluated per key")
-    tn.add_argument("--serve", action="store_true",
-                    help="also tune the service micro-batch limits")
-    tn.add_argument("--clients", type=int, default=16,
-                    help="(--serve) closed-loop clients in the probe blast")
-    tn.add_argument("--trace", default=None, metavar="OUT.json",
-                    help="record spans and write Chrome trace-event JSON")
-    tn.add_argument("--metrics", action="store_true",
-                    help="print the stage/metrics summary after the campaign")
-    tn.set_defaults(func=cmd_tune)
 
     ds = sub.add_parser("datasets", help="print the Table III inventory")
     ds.set_defaults(func=cmd_datasets)

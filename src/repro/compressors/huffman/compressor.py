@@ -21,18 +21,17 @@ offsets, and the bitstream word buffer — lives in a
 characteristics, so repeated reductions of same-shaped data reuse the
 same memory (CMM, paper Section III-B).
 
-The byte-level API additionally supports a chunk-parallel container
-(``HUFP``): on a multi-threaded adapter the input is split into
-independently coded segments compressed concurrently (NumPy releases
-the GIL), each with its own reduction context so the CMM wiring stays
-race-free.  The container is adapter-agnostic — bytes produced by the
-parallel path decode bit-exactly on the serial adapter and vice versa.
+The byte-level API writes one single-stream container (``HUFX``) on
+every adapter, so the bytes never depend on the backend or its thread
+count; adapters parallelize the stages inside the stream.  Streams in
+the legacy segmented container (``HUFP``: ``b"HUFP"``, ``<BI``
+version/segment count, ``<Q`` segment lengths, then one key stream per
+segment) still decode, segments in parallel.
 """
 
 from __future__ import annotations
 
 import struct
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +51,7 @@ from repro.trace.tracer import NULL_SPAN, Span, TRACER as _TRACER
 from repro.util import hot_path, stream_errors
 
 _MAGIC = b"HUFX"
-_PAR_MAGIC = b"HUFP"
+_PAR_MAGIC = b"HUFP"  # legacy segmented container, decode only
 _VERSION = 1
 
 
@@ -79,10 +78,6 @@ def _count_bytes(nbytes_in: int, nbytes_out: int) -> None:
     _METRICS.counter("hpdr_bytes_out_total", "compressed bytes produced").inc(
         int(nbytes_out), codec="huffman"
     )
-
-#: Minimum bytes per parallel segment — below this the per-segment
-#: codebook/container overhead outweighs the thread-level speedup.
-_MIN_SEGMENT_BYTES = 1 << 16
 
 
 def _rle_encode(lengths: np.ndarray) -> bytes:
@@ -137,47 +132,46 @@ class _EncodeFunctor(LocalityFunctor):
     The codebook is fused into a single lookup table so each key costs
     one gather; callers split the planes back out with shift/mask.  An
     optional reduction context supplies persistent output scratch so the
-    steady state allocates nothing.  ``per_thread`` scopes that scratch
-    by pool-thread identity — required only when an adapter fans one
-    context's batch out across threads; a context used by one caller at
-    a time (serial path, HUFP segments) keeps a single deterministic
-    buffer so which pool thread runs it never triggers an allocation.
+    steady state allocates nothing.  ``fan_out`` marks an adapter that
+    runs one call's chunks on several pool threads at once: one scratch
+    buffer would race there, and which thread gets which chunk size
+    varies per call, so each apply returns a fresh array instead — the
+    adapter concatenates the chunks into a new array either way.
     """
 
     name = "huffman.encode"
     bytes_per_element = 10.0
-    reuses_output = True
 
     def __init__(
         self,
         codes: np.ndarray,
         lengths: np.ndarray,
         ctx=None,
-        per_thread: bool = False,
+        fan_out: bool = False,
     ) -> None:
         self._lut = (codes.astype(np.uint32) << np.uint32(8)) | lengths.astype(
             np.uint32
         )
-        self._ctx = ctx
-        self._per_thread = per_thread
+        self._ctx = None if fan_out else ctx
+        self.reuses_output = self._ctx is not None
 
     @hot_path(reason="Locality encode stage; one gather per key")
     def apply(self, blocks: np.ndarray) -> np.ndarray:
         flat = blocks.reshape(-1)
         if self._ctx is not None:
-            name = (
-                f"enc.out:{threading.get_ident()}"
-                if self._per_thread
-                else "enc.out"
-            )
-            out = self._ctx.scratch(name, flat.size, np.uint32)
+            out = self._ctx.scratch("enc.out", flat.size, np.uint32)
         else:
-            # hpdrlint: disable=HPL001 — documented ctx=None fallback path
+            # hpdrlint: disable=HPL001 — fan-out / ctx=None path (see class doc)
             out = np.empty(flat.size, dtype=np.uint32)
         # Key range was validated by the histogram stage; "clip" skips a
         # second bounds-check pass.
         np.take(self._lut, flat, out=out, mode="clip")
         return out.reshape(blocks.shape)
+
+
+def _fans_out(adapter) -> bool:
+    """True when ``adapter`` may run one call's chunks concurrently."""
+    return adapter is not None and adapter.parallel_width() > 1
 
 
 def _map_tasks(adapter, fn, items):
@@ -194,9 +188,8 @@ class HuffmanX:
     Parameters
     ----------
     adapter:
-        Device adapter (defaults to serial).  Multi-threaded adapters
-        additionally parallelize the byte-level API across independent
-        segments (``HUFP`` container).
+        Device adapter (defaults to serial).  It sets where the stages
+        run, never the output: every adapter writes the same bytes.
     chunk_size:
         Symbols per encoding chunk — the Locality block size and the
         decode-parallelism grain.
@@ -217,20 +210,6 @@ class HuffmanX:
         self.adapter = adapter
         self.chunk_size = chunk_size
         self.cache = context_cache if context_cache is not None else ContextCache()
-
-    @classmethod
-    def tunable_knobs(cls) -> tuple:
-        """Tunable-knob declarations (see ``codec_knob_declarations``).
-
-        ``chunk_size`` is serialized into the HUFP container, so it is
-        declared ``stream_affecting``: the auto-tuner may propose other
-        values, but its byte-identity guard rejects every one — the
-        declaration documents the constraint and exercises the guard.
-        """
-        return (
-            {"name": "chunk_size", "values": (512, 1024, 2048, 4096),
-             "default": 1024, "stream_affecting": True},
-        )
 
     # ------------------------------------------------------------------
     # Key-level API (alphabet supplied by the caller)
@@ -254,7 +233,7 @@ class HuffmanX:
         disjoint), so decompressing what was just compressed reuses the
         compression context instead of opening a second one.  ``pin``
         holds the context safe from LRU eviction while a call is in
-        flight (many concurrent HUFP segments can exceed the cache
+        flight (many concurrent legacy HUFP segments can exceed the cache
         capacity); callers release in a ``finally``.
         """
         n = int(np.prod(shape)) if shape else 1
@@ -305,7 +284,7 @@ class HuffmanX:
                         book.codes,
                         book.lengths,
                         ctx=ctx,
-                        per_thread=adapter is not None,
+                        fan_out=_fans_out(adapter),
                     ),
                     block_shape=(chunk,),
                     adapter=adapter,
@@ -452,7 +431,7 @@ class HuffmanX:
                 staged,
                 _EncodeFunctor(
                     all_codes, all_lengths, ctx=ctx,
-                    per_thread=adapter is not None,
+                    fan_out=_fans_out(adapter),
                 ),
                 block_shape=(chunk,),
                 adapter=adapter,
@@ -798,56 +777,13 @@ class HuffmanX:
     # ------------------------------------------------------------------
     # Byte-level lossless API (arbitrary arrays/buffers)
     # ------------------------------------------------------------------
-    def _num_segments(self, nbytes: int) -> int:
-        width = 1 if self.adapter is None else self.adapter.parallel_width()
-        if width <= 1:
-            return 1
-        return max(1, min(width, nbytes // _MIN_SEGMENT_BYTES))
-
     def compress(self, data: np.ndarray | bytes) -> bytes:
         """Losslessly compress arbitrary data as a uint8 symbol stream.
 
-        On a multi-threaded adapter, large inputs are split into
-        chunk-aligned segments compressed concurrently, each with its
-        own reduction context (``HUFP`` container); the result decodes
-        bit-exactly on every adapter.
+        Every adapter writes the same single-stream ``HUFX`` container.
         """
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            arr = np.frombuffer(bytes(data), dtype=np.uint8)
-            meta = ("|u1", (arr.size,))
-        else:
-            arr = np.ascontiguousarray(data)
-            meta = (arr.dtype.str, arr.shape)
-        keys = arr.reshape(-1).view(np.uint8)
-        header = _pack_meta(meta[0], meta[1])
-
-        nseg = self._num_segments(keys.size)
-        if nseg <= 1:
-            blob = header + self.compress_keys(keys, 256)
-            _count_bytes(keys.size, len(blob))
-            return blob
-
-        seg = -(-keys.size // nseg)
-        seg = -(-seg // self.chunk_size) * self.chunk_size  # chunk-aligned
-        bounds = list(range(0, keys.size, seg)) + [keys.size]
-        nseg = len(bounds) - 1
-
-        def _one(i: int) -> bytes:
-            part = keys[bounds[i] : bounds[i + 1]]
-            ctx = self._key_context(part.shape, part.dtype, 256, tag=i, pin=True)
-            try:
-                return self._compress_keys(part, 256, ctx, None)
-            finally:
-                self.cache.release(ctx)
-
-        parts = _map_tasks(self.adapter, _one, range(nseg))
-        body = (
-            _PAR_MAGIC
-            + struct.pack("<BI", _VERSION, nseg)
-            + struct.pack(f"<{nseg}Q", *(len(p) for p in parts))
-            + b"".join(parts)
-        )
-        blob = header + body
+        keys, meta = _byte_keys(data)
+        blob = _pack_meta(*meta) + self.compress_keys(keys, 256)
         _count_bytes(keys.size, len(blob))
         return blob
 
@@ -886,27 +822,16 @@ class HuffmanX:
     def compress_batch(self, arrays: Sequence) -> list[bytes]:
         """Compress N uniform-(shape, dtype) inputs, one launch per stage.
 
-        Byte-identical to per-item :meth:`compress` — the container
-        choice (``HUFX`` vs chunk-parallel ``HUFP``) depends only on the
-        uniform input size, and each segment index is key-batch
-        compressed across all N inputs.  Raises ``ValueError`` for
-        non-uniform batches (the serve worker then falls back to
-        per-item execution).
+        Byte-identical to per-item :meth:`compress`.  Raises
+        ``ValueError`` for non-uniform batches (the serve worker then
+        falls back to per-item execution).
         """
         datas = list(arrays)
         if not datas:
             return []
         if len(datas) == 1:
             return [self.compress(datas[0])]
-        prepared = []
-        for data in datas:
-            if isinstance(data, (bytes, bytearray, memoryview)):
-                arr = np.frombuffer(bytes(data), dtype=np.uint8)
-                meta = ("|u1", (arr.size,))
-            else:
-                arr = np.ascontiguousarray(data)
-                meta = (arr.dtype.str, arr.shape)
-            prepared.append((arr.reshape(-1).view(np.uint8), meta))
+        prepared = [_byte_keys(data) for data in datas]
         meta = prepared[0][1]
         for _, m in prepared[1:]:
             if m != meta:
@@ -914,48 +839,14 @@ class HuffmanX:
                     f"compress_batch requires uniform shape/dtype, got "
                     f"{m} vs {meta}"
                 )
-        keys_list = [p[0] for p in prepared]
-        nbytes = keys_list[0].size
-        header = _pack_meta(meta[0], meta[1])
-
-        nseg = self._num_segments(nbytes)
-        if nseg <= 1:
-            blobs = [
-                header + body
-                for body in self.compress_keys_batch(keys_list, 256)
-            ]
-            for b in blobs:
-                _count_bytes(nbytes, len(b))
-            return blobs
-
-        seg = -(-nbytes // nseg)
-        seg = -(-seg // self.chunk_size) * self.chunk_size  # chunk-aligned
-        bounds = list(range(0, nbytes, seg)) + [nbytes]
-        nseg = len(bounds) - 1
-
-        def _one_index(i: int) -> list[bytes]:
-            parts = [k[bounds[i] : bounds[i + 1]] for k in keys_list]
-            ctx = self._key_context(
-                parts[0].shape, parts[0].dtype, 256, tag=("batch", i),
-                pin=True,
-            )
-            try:
-                return self._compress_keys_batch(parts, 256, ctx, None)
-            finally:
-                self.cache.release(ctx)
-
-        by_index = _map_tasks(self.adapter, _one_index, range(nseg))
-        blobs = []
-        for j in range(len(datas)):
-            parts = [by_index[i][j] for i in range(nseg)]
-            body = (
-                _PAR_MAGIC
-                + struct.pack("<BI", _VERSION, nseg)
-                + struct.pack(f"<{nseg}Q", *(len(p) for p in parts))
-                + b"".join(parts)
-            )
-            blobs.append(header + body)
-            _count_bytes(nbytes, len(blobs[-1]))
+        nbytes = prepared[0][0].size
+        header = _pack_meta(*meta)
+        blobs = [
+            header + body
+            for body in self.compress_keys_batch([p[0] for p in prepared], 256)
+        ]
+        for b in blobs:
+            _count_bytes(nbytes, len(b))
         return blobs
 
     @stream_errors
@@ -1120,6 +1011,16 @@ class HuffmanX:
             tuple(shape), dtype, num_symbols, n, book, chunk_offsets, payload,
             chunk_size,
         )
+
+
+def _byte_keys(data) -> tuple[np.ndarray, tuple[str, tuple[int, ...]]]:
+    """The uint8 symbol view of a byte-level input, plus its
+    (dtype, shape) metadata."""
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        arr = np.frombuffer(bytes(data), dtype=np.uint8)
+        return arr, ("|u1", (arr.size,))
+    arr = np.ascontiguousarray(data)
+    return arr.reshape(-1).view(np.uint8), (arr.dtype.str, arr.shape)
 
 
 def _pack_meta(dtype_str: str, shape: tuple[int, ...]) -> bytes:

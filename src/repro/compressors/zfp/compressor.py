@@ -147,16 +147,6 @@ class ZFPX:
         self.adapter = adapter
         self.cache = context_cache if context_cache is not None else ContextCache()
 
-    @classmethod
-    def tunable_knobs(cls) -> tuple:
-        """Tunable-knob declarations (see ``codec_knob_declarations``).
-
-        ZFP-X has no codec-private byte-neutral knobs (``rate`` is a
-        quality parameter, not a performance one), so it tunes only the
-        shared execution knobs.
-        """
-        return ()
-
     def _maxbits(self, ndim: int, dtype: np.dtype) -> int:
         bs = 4**ndim
         want = int(round(self.rate * bs))

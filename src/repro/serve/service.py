@@ -105,15 +105,10 @@ class ServiceConfig:
     #: payloads, so process mode trades per-request copy overhead for
     #: true parallel codec execution.
     process: bool = False
-    #: consult the tuning cache at startup: ``off`` (never), ``auto`` /
-    #: ``force`` (rewrite limits + worker device from the cached
-    #: service-level entry before any worker is built — see
-    #: :func:`repro.tune.apply_service_tuning`).  A miss, stale schema
-    #: or corrupt cache leaves this config exactly as written.
+    #: kept so existing callers that pass ``tune="off"`` still build a
+    #: config; ``"off"`` is the only legal value (the auto-tuner was
+    #: removed).
     tune: str = "off"
-    #: tuning-cache path (None = the default user cache).  A plain
-    #: string so the config pickles into spawned process shards.
-    tuning_cache: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:
@@ -125,9 +120,10 @@ class ServiceConfig:
                 "retry_sleep is not injectable across process workers "
                 "(callables do not pickle); use thread workers in tests"
             )
-        if self.tune not in ("off", "auto", "force"):
+        if self.tune != "off":
             raise ValueError(
-                f"tune must be off|auto|force, got {self.tune!r}"
+                f"tune must be 'off' (the auto-tuner was removed), "
+                f"got {self.tune!r}"
             )
 
 
@@ -241,16 +237,6 @@ class ReductionService:
         self._loop = asyncio.get_running_loop()
         self._idle = asyncio.Event()
         self._idle.set()
-        if self.config.tune != "off":
-            # Consult the tuning cache before any worker exists, so the
-            # tuned limits and worker device apply to thread and process
-            # workers alike (the pool initializer below reads them from
-            # this same config).  Local import: the service must not
-            # depend on the tuner unless tuning is requested.
-            from repro.tune import apply_service_tuning
-
-            self.config = apply_service_tuning(self.config)
-            self._planner = MicroBatchPlanner(self.config.limits)
         cfg = self.config
         if cfg.process:
             # One pool, ``workers`` processes; each builds its own

@@ -1,7 +1,7 @@
 """HPDR-Trace: unified runtime tracing & metrics for real executions.
 
 The simulator (:mod:`repro.machine`) always had first-class traces; the
-real hot paths — zero-alloc codecs, the HUFP chunk-parallel decoder,
+real hot paths — zero-alloc codecs, the chunk-parallel Huffman decoder,
 the CMM cache, thread-pool adapters, the I/O engines — were opaque.
 This package instruments them all through one API:
 
@@ -55,12 +55,10 @@ from repro.trace.tracer import (
     SpanEvent,
     TRACER,
     Tracer,
-    add_sink,
     clear,
     disable,
     enable,
     enabled,
-    remove_sink,
     span,
     traced,
 )
@@ -160,7 +158,6 @@ __all__ = [
     "TIME_BUCKETS",
     "TRACER",
     "Tracer",
-    "add_sink",
     "chrome_events",
     "clear",
     "counter",
@@ -173,7 +170,6 @@ __all__ = [
     "histogram",
     "load_chrome",
     "metrics",
-    "remove_sink",
     "render_prometheus",
     "render_spans",
     "reset",

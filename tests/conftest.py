@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -60,6 +61,37 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             )
             for nodeid in _RERUNS:
                 fh.write(f"- `{nodeid}`\n")
+
+
+def build_legacy_hufp(data: bytes, nseg: int, chunk_size: int = 1024) -> bytes:
+    """A legacy segmented Huffman-X stream (``HUFP``), built by hand.
+
+    Laid out as the retired multi-thread writer did: the byte-level
+    header, ``b"HUFP"``, ``<BI`` version/segment count, ``<Q`` segment
+    lengths, then one ``compress_keys`` stream per chunk-aligned
+    segment.  New streams are single-stream ``HUFX`` on every adapter;
+    these keep the old format's decoders covered.
+    """
+    from repro import HuffmanX
+
+    keys = np.frombuffer(data, dtype=np.uint8)
+    seg = -(-keys.size // nseg)
+    seg = -(-seg // chunk_size) * chunk_size
+    bounds = list(range(0, keys.size, seg)) + [keys.size]
+    coder = HuffmanX(chunk_size=chunk_size)
+    parts = [coder.compress_keys(keys[a:b], 256)
+             for a, b in zip(bounds, bounds[1:])]
+    dts = b"|u1"
+    header = struct.pack("<BH", len(dts), 1) + dts + struct.pack("<q", keys.size)
+    return (header + b"HUFP" + struct.pack("<BI", 1, len(parts))
+            + struct.pack(f"<{len(parts)}Q", *(len(p) for p in parts))
+            + b"".join(parts))
+
+
+@pytest.fixture
+def legacy_hufp():
+    """:func:`build_legacy_hufp`, as a fixture."""
+    return build_legacy_hufp
 
 
 @pytest.fixture

@@ -33,15 +33,22 @@ class TestZeroAllocSteadyState:
         data = rng.normal(size=(32, 32, 32)).astype(np.float32)
         assert _steady_state_events(HuffmanX(), data) == 0
 
-    def test_huffman_openmp_segments(self, rng):
+    def test_huffman_openmp_segments(self, rng, legacy_hufp):
         from repro.adapters import get_adapter
 
-        # Large enough for the HUFP chunk-parallel container (threads
-        # pinned so it triggers on any host): the per-segment contexts
-        # must also reach steady state.
+        # Threads pinned so the parallel stages run on any host; the
+        # stream equals the serial one, and decoding a legacy segmented
+        # stream must reach steady state in its per-segment contexts.
         data = rng.integers(0, 256, size=400_000).astype(np.uint8)
         codec = HuffmanX(adapter=get_adapter("openmp", num_threads=4))
+        assert codec.compress(data) == HuffmanX().compress(data)
         assert _steady_state_events(codec, data) == 0
+        legacy = legacy_hufp(data.tobytes(), 4)
+        codec.decompress(legacy)
+        codec.decompress(legacy)
+        before = codec.cache.alloc_events
+        assert codec.decompress(legacy).tobytes() == data.tobytes()
+        assert codec.cache.alloc_events == before
 
     def test_mgard(self, rng):
         data = rng.normal(size=(24, 24, 24)).astype(np.float32)

@@ -37,10 +37,6 @@ def serve_record(**overrides):
     return {"current": cells, "speedup_c64": {"b8": 3.0}, "codec_batch": {}}
 
 
-def tune_record(cells):
-    return {"current": cells}
-
-
 # ---------------------------------------------------------------------------
 # _metric: the null-cell guard itself
 # ---------------------------------------------------------------------------
@@ -111,77 +107,3 @@ def test_main_report_only_swallows_null_cell(tmp_path):
     rc = perf_gate.main(["--committed", str(committed),
                          "--fresh", str(fresh), "--report-only"])
     assert rc == 0
-
-
-# ---------------------------------------------------------------------------
-# compare_tune: the auto-tuner gate
-# ---------------------------------------------------------------------------
-def good_tune_cells():
-    return {
-        "nyx_zfp-x": {"default_s": 0.02, "tuned_s": 0.02, "speedup": 1.0},
-        "ints_huffman-x": {"default_s": 0.05, "tuned_s": 0.04,
-                           "speedup": 1.25},
-        "serve_c32": {"default_s": 0.40, "tuned_s": 0.25, "speedup": 1.6},
-    }
-
-
-def test_compare_tune_passes_good_record():
-    record = tune_record(good_tune_cells())
-    assert perf_gate.compare_tune(record, record) == []
-
-
-def test_compare_tune_fails_below_floor():
-    cells = good_tune_cells()
-    cells["nyx_zfp-x"]["speedup"] = 0.93
-    failures = perf_gate.compare_tune(tune_record(good_tune_cells()),
-                                      tune_record(cells))
-    assert any("nyx_zfp-x" in f for f in failures)
-
-
-def test_compare_tune_requires_winning_cells():
-    cells = {k: dict(v, speedup=1.0) for k, v in good_tune_cells().items()}
-    failures = perf_gate.compare_tune(tune_record(cells), tune_record(cells))
-    assert any("strictly-winning" in f for f in failures)
-
-
-def test_compare_tune_null_speedup_raises_missing_cell():
-    cells = good_tune_cells()
-    cells["serve_c32"]["speedup"] = None
-    with pytest.raises(perf_gate.MissingBenchCell, match="serve_c32"):
-        perf_gate.compare_tune(tune_record(good_tune_cells()),
-                               tune_record(cells))
-
-
-def test_compare_tune_missing_fresh_cell_raises():
-    fresh = good_tune_cells()
-    fresh.pop("serve_c32")
-    with pytest.raises(perf_gate.MissingBenchCell, match="serve_c32"):
-        perf_gate.compare_tune(tune_record(good_tune_cells()),
-                               tune_record(fresh))
-
-
-def test_main_gates_tune_record(tmp_path):
-    committed = tmp_path / "committed.json"
-    fresh = tmp_path / "fresh.json"
-    codec_committed = tmp_path / "codec.json"
-    codec_committed.write_text(json.dumps(codec_record()))
-    committed.write_text(json.dumps(tune_record(good_tune_cells())))
-    fresh.write_text(json.dumps(tune_record(good_tune_cells())))
-    rc = perf_gate.main([
-        "--committed", str(codec_committed),
-        "--fresh", str(codec_committed),
-        "--tune-committed", str(committed),
-        "--tune-fresh", str(fresh),
-    ])
-    assert rc == 0
-
-    losing = good_tune_cells()
-    losing["ints_huffman-x"]["speedup"] = 0.8
-    fresh.write_text(json.dumps(tune_record(losing)))
-    rc = perf_gate.main([
-        "--committed", str(codec_committed),
-        "--fresh", str(codec_committed),
-        "--tune-committed", str(committed),
-        "--tune-fresh", str(fresh),
-    ])
-    assert rc == 1

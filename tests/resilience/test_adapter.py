@@ -150,3 +150,46 @@ def test_compressed_stream_identical_under_faults():
             sleep=lambda s: None,
         )
         assert ZFPX(rate=8.0, adapter=chain).compress(data) == clean
+
+
+class _DiesAfter(FaultyAdapter):
+    """Primary device that serves ``ok`` launches, then fails every one."""
+
+    def __init__(self, inner, ok: int) -> None:
+        super().__init__(inner, FaultPlan())
+        self.ok = ok
+        self.launches = 0
+
+    def _maybe_fail(self, site: str) -> None:
+        self.launches += 1
+        if self.launches > self.ok:
+            raise DeviceBatchFault(site, "device lost mid-run")
+
+
+@pytest.mark.parametrize("codec", ["huffman-x", "mgard-x"])
+def test_mid_run_demotion_from_openmp_keeps_bytes(codec):
+    """An openmp(4) primary that dies part-way through a compress hands
+    the rest of the call to the serial fallback; the stream must still
+    equal the serial one."""
+    from repro import Config, ErrorMode, HuffmanX, MGARDX
+
+    rng = np.random.default_rng(5)
+    if codec == "huffman-x":
+        data = rng.integers(0, 17, size=200_000).astype(np.uint8).tobytes()
+        build = lambda ad: HuffmanX(adapter=ad)  # noqa: E731
+    else:
+        data = rng.standard_normal((24, 24, 24)).astype(np.float32)
+        cfg = Config(error_bound=1e-3, error_mode=ErrorMode.REL)
+        build = lambda ad: MGARDX(cfg, adapter=ad)  # noqa: E731
+    want = build(get_adapter("serial")).compress(data)
+
+    primary = _DiesAfter(get_adapter("openmp", num_threads=4), ok=1)
+    chain = ResilientAdapter(primary, policy=RetryPolicy(max_attempts=2),
+                             sleep=lambda s: None)
+    try:
+        got = build(chain).compress(data)
+    finally:
+        primary.inner.close()
+    assert chain.degraded, "the primary never failed; the test is vacuous"
+    assert primary.launches > primary.ok
+    assert got == want

@@ -118,3 +118,36 @@ def test_poisoned_request_degrades_not_fails():
     assert stats.errors == 0
     assert degradations > 0
     assert METRICS.counter("hpdr_degradations_total").total() > degr0
+
+
+def test_serial_fallback_codec_matches_the_normal_path():
+    """The worker's pinned serial-fallback codec must return the same
+    huffman-x bytes as a healthy openmp worker, on an input large enough
+    that a thread-count-dependent stream layout would show."""
+    from repro.adapters import get_adapter
+    from repro.resilience.adapter import FaultyAdapter
+    from repro.serve.worker import OK, Worker
+
+    spec = CodecSpec("huffman-x")
+    data = np.random.default_rng(9).integers(0, 17, size=(512, 512)).astype(
+        np.uint8)
+
+    def run(faulty):
+        omp = get_adapter("openmp", num_threads=4)
+        primary = (FaultyAdapter(omp, FaultPlan(seed=0, device_batch_rate=1.0))
+                   if faulty else omp)
+        worker = Worker(0, primary, get_adapter("serial"),
+                        policy=RetryPolicy(max_attempts=2),
+                        sleep=lambda s: None)
+        try:
+            [(tag, blob)] = worker.run_payloads("compress", spec, [data])
+            return tag, bytes(blob), worker.degradations
+        finally:
+            worker.close()
+            omp.close()
+
+    normal = run(faulty=False)
+    degraded = run(faulty=True)
+    assert normal[0] == degraded[0] == OK
+    assert normal[2] == 0 and degraded[2] == 1
+    assert degraded[1] == normal[1]

@@ -249,6 +249,15 @@ def test_service_config_validation():
         ServiceConfig(workers=0)
 
 
+def test_bad_tune_mode_rejected():
+    # ``tune`` survives only so ``tune="off"`` callers keep working; the
+    # auto-tuner is gone, so every other value is an error.
+    assert ServiceConfig(tune="off").tune == "off"
+    for mode in ("auto", "force", "sometimes"):
+        with pytest.raises(ValueError, match="auto-tuner was removed"):
+            ServiceConfig(tune=mode)
+
+
 def test_codec_spec_validation_and_keys():
     with pytest.raises(ValueError):
         CodecSpec("gzip")
